@@ -37,6 +37,7 @@ signatures and semantics there are unchanged.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -50,12 +51,22 @@ try:  # NumPy is part of the baked-in toolchain, but stay importable without it.
 except ImportError:  # pragma: no cover - exercised only on stripped images
     _np = None
 
-try:  # SciPy's compiled csgraph kernels back the batched-SSSP fast paths.
-    from scipy.sparse import csr_matrix as _sp_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    _sp_csr_matrix = None
-    _sp_dijkstra = None
+
+@functools.cache
+def _scipy():
+    """SciPy's ``(csr_matrix, csgraph.dijkstra)``, imported on first use.
+
+    SciPy costs ~0.3 s to import and only the clustering kernels need it,
+    so ``import repro`` must not pull it in (see ARCHITECTURE.md, "Import
+    policy"). Returns ``None`` when SciPy is missing.
+    """
+    try:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+    except ImportError:
+        return None
+    return csr_matrix, dijkstra
+
 
 Vertex = Hashable
 
@@ -247,7 +258,7 @@ class CSRGraph:
         weights need no special casing.) Cached on the snapshot.
         """
         if self._sp_kernels is None:
-            if _sp_dijkstra is None or _np is None or self.num_vertices == 0:
+            if _np is None or self.num_vertices == 0 or _scipy() is None:
                 self._sp_kernels = False
             else:
                 self._sp_kernels = SciPyGraphKernels(self)
@@ -952,20 +963,20 @@ class SciPyGraphKernels:
         always traversed in directed mode.
         """
         n = self.csr.num_vertices
-        return _sp_csr_matrix(
+        return _scipy()[0](
             (self.base_data if data is None else data, self._indices32, self._indptr32),
             shape=(n, n),
         )
 
     def multi_source(self, sources: Sequence[int], data=None):
         """Distance to the nearest of ``sources`` as a float array."""
-        return _sp_dijkstra(
+        return _scipy()[1](
             self.matrix(data), directed=True, indices=list(sources), min_only=True
         )
 
     def sssp_rows(self, sources: Sequence[int], limit: float = INF, data=None):
         """Full SSSP rows for each source; entries beyond ``limit`` are inf."""
-        return _sp_dijkstra(
+        return _scipy()[1](
             self.matrix(data), directed=True, indices=list(sources), limit=limit
         )
 

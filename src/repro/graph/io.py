@@ -10,7 +10,9 @@ to tuples.
 from __future__ import annotations
 
 import json
-from typing import Hashable, List, TextIO, Union
+import os
+import tempfile
+from typing import Any, Hashable, List, Mapping, TextIO, Union
 
 from ..errors import GraphError
 from .graph import BaseGraph, DiGraph, Graph
@@ -77,6 +79,36 @@ def load_json(path: str) -> BaseGraph:
     """Read a graph from a JSON file written by :func:`dump_json`."""
     with open(path, "r", encoding="utf-8") as handle:
         return graph_from_dict(json.load(handle))
+
+
+def atomic_write_json(doc: Mapping[str, Any], path: str) -> str:
+    """Serialize ``doc`` and move it into place atomically, fsynced.
+
+    The library's one crash-safe writer (shard envelopes, scheduler
+    manifests, attempt records, lease heartbeats). The temp file lives in
+    the target directory (same filesystem, invisible to the ``*.json``
+    globs) and is ``os.replace``d over ``path``, so a writer killed at
+    any instant leaves either the old content or the new — never a
+    truncated document.
+    """
+    directory = os.path.dirname(path) or "."
+    blob = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
+        raise
+    return path
 
 
 def dump_edge_list(graph: BaseGraph, handle: TextIO) -> None:

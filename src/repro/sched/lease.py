@@ -32,12 +32,12 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import LeaseError
+from ..graph.io import atomic_write_json
 
 #: File-name pattern of active lease files.
 LEASE_FILE = "shard-{index}.lease"
@@ -85,24 +85,7 @@ class Lease:
     def renew(self) -> None:
         """Refresh the heartbeat; atomic, so readers never see a torn file."""
         self.heartbeat_at = _now()
-        directory = os.path.dirname(self.path) or "."
-        blob = json.dumps(self.to_dict(), sort_keys=True) + "\n"
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory,
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            raise
+        atomic_write_json(self.to_dict(), self.path)
 
     def release(self) -> None:
         """Drop the claim. Only the owner may call this.

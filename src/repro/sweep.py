@@ -50,7 +50,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidSpec, SweepError
 from .graph.graph import BaseGraph
-from .graph.io import graph_from_dict, graph_to_dict, load_json
+from .graph.io import (
+    atomic_write_json,
+    graph_from_dict,
+    graph_to_dict,
+    load_json,
+)
 from .hosts import HostSpec, get_host_generator, is_host_document
 from .registry import get_algorithm
 from .rng import RandomLike, ensure_rng
@@ -571,29 +576,14 @@ def shard_report_path(reports_dir: str, index: int) -> str:
 def save_shard_report(envelope: Dict[str, Any], reports_dir: str) -> str:
     """Persist one shard envelope under its canonical name, crash-safely.
 
-    The document is serialized to a temp file *in* ``reports_dir`` and
-    ``os.replace``d into place (atomic on POSIX and Windows within one
-    filesystem), so a worker killed mid-write leaves either no
-    ``shard-<i>.json`` or a complete one — never a truncated envelope
-    for the strict merge layer to choke on.
+    Goes through :func:`repro.graph.io.atomic_write_json` (temp file in
+    ``reports_dir`` + fsync + ``os.replace``), so a worker killed
+    mid-write leaves either no ``shard-<i>.json`` or a complete one —
+    never a truncated envelope for the strict merge layer to choke on.
     """
     os.makedirs(reports_dir, exist_ok=True)
     path = shard_report_path(reports_dir, envelope["shard"]["index"])
-    blob = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=reports_dir
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    return path
+    return atomic_write_json(envelope, path)
 
 
 def load_shard_report(path: str) -> Dict[str, Any]:
